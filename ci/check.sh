@@ -19,6 +19,12 @@ cargo build -q --examples
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> golden search trajectories (release, Table I cases included)"
+# Pins the exact CDCL counters of fixed tasks: solver speed-ups must not
+# change a search decision. The Table I cases are #[ignore]d in the
+# default (debug) run above because they take minutes there.
+cargo test --release -q --test search_trajectory -- --include-ignored
+
 echo "==> bench_optimize smoke (release, running example + convoy, traced)"
 TRACE=target/BENCH_optimize_smoke.trace.jsonl
 cargo run --release -q -p etcs-bench --bin bench_optimize -- \

@@ -119,6 +119,33 @@ struct Watcher {
 const CLAUSE_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
 
+/// `true` iff `l` is assigned true. [`LBool::True`] and [`LBool::False`]
+/// have discriminants 0 and 1, so a literal holds exactly when its
+/// variable's value equals its sign bit; `Undef` (2) never does.
+#[inline]
+fn lit_is_true(assigns: &[LBool], l: Lit) -> bool {
+    assigns[l.var().index()] as u32 == (l.code() & 1)
+}
+
+/// `true` iff `l` is assigned false (see [`lit_is_true`]).
+#[inline]
+fn lit_is_false(assigns: &[LBool], l: Lit) -> bool {
+    assigns[l.var().index()] as u32 == (l.code() & 1) ^ 1
+}
+
+/// Adds `amount` to `v`'s VSIDS activity, rescaling every activity (and
+/// the increment) once one exceeds [`RESCALE_LIMIT`].
+fn bump_activity(activity: &mut [f64], var_inc: &mut f64, heap: &mut VarHeap, v: Var, amount: f64) {
+    activity[v.index()] += amount;
+    if activity[v.index()] > RESCALE_LIMIT {
+        for a in activity.iter_mut() {
+            *a *= 1e-100;
+        }
+        *var_inc *= 1e-100;
+    }
+    heap.update(v, activity);
+}
+
 /// A CDCL SAT solver over clauses built from [`Var`]s handed out by
 /// [`Solver::new_var`].
 ///
@@ -156,6 +183,9 @@ pub struct Solver {
     /// Becomes false once level-0 unsatisfiability is established.
     ok: bool,
     seen: Vec<bool>,
+    /// Per-decision-level marks for counting a learnt clause's LBD; all
+    /// false between conflicts.
+    level_seen: Vec<bool>,
     stats: Stats,
     /// Learnt-clause count that triggers the next database reduction.
     reduce_limit: usize,
@@ -226,6 +256,7 @@ impl Solver {
             phase: Vec::new(),
             ok: true,
             seen: Vec::new(),
+            level_seen: Vec::new(),
             stats: Stats::default(),
             reduce_limit: 2000,
             last_simplify_trail: 0,
@@ -247,7 +278,8 @@ impl Solver {
 
     /// Installs an observability handle: every later `solve`/`solve_with`
     /// call is wrapped in a `sat.solve` span (closing with the call's
-    /// conflict/propagation/decision deltas and its verdict), restarts emit
+    /// conflict/propagation/decision/restart/learnt-literal/deleted-clause
+    /// deltas and its verdict), restarts emit
     /// `sat.restart` events and learnt-database reductions `sat.reduce`
     /// events. Installing [`Obs::disabled`] (the initial state) turns all
     /// of that back into single branches.
@@ -432,14 +464,13 @@ impl Solver {
     /// first, early time steps before late ones); VSIDS takes over as
     /// conflicts accumulate.
     pub fn boost_activity(&mut self, v: Var, amount: f64) {
-        self.activity[v.index()] += amount;
-        if self.activity[v.index()] > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.heap.update(v, &self.activity);
+        bump_activity(
+            &mut self.activity,
+            &mut self.var_inc,
+            &mut self.heap,
+            v,
+            amount,
+        );
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -517,7 +548,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.push(lits, false, 0);
+                let cref = self.db.push(&lits, false, 0);
                 self.attach(cref);
                 true
             }
@@ -601,6 +632,14 @@ impl Solver {
                 (self.stats.decisions - before.decisions).into(),
             ),
             ("restarts", (self.stats.restarts - before.restarts).into()),
+            (
+                "learnt_literals",
+                (self.stats.learnt_literals - before.learnt_literals).into(),
+            ),
+            (
+                "deleted_clauses",
+                (self.stats.deleted_clauses - before.deleted_clauses).into(),
+            ),
         ]);
         result
     }
@@ -722,8 +761,8 @@ impl Solver {
 
     fn attach(&mut self, cref: ClauseRef) {
         let (w0, w1) = {
-            let c = self.db.get(cref);
-            (c.lits()[0], c.lits()[1])
+            let lits = self.db.lits(cref);
+            (lits[0], lits[1])
         };
         self.watches[(!w0).index()].push(Watcher { cref, blocker: w1 });
         self.watches[(!w1).index()].push(Watcher { cref, blocker: w0 });
@@ -740,47 +779,47 @@ impl Solver {
     }
 
     /// Unit propagation; returns the conflicting clause if a conflict arose.
+    ///
+    /// Every watcher refers to a live clause: each path that deletes
+    /// clauses (`remove_satisfied`, `reduce_learnt`, the preprocessing
+    /// passes) ends in `rebuild_watches` before the next propagation, or
+    /// leaves the solver refuted, after which nothing propagates again.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
-                if self.lit_value(w.blocker) == LBool::True {
+                if lit_is_true(&self.assigns, w.blocker) {
                     i += 1;
                     continue;
                 }
-                if self.db.is_deleted(w.cref) {
-                    ws.swap_remove(i);
-                    continue;
-                }
+                debug_assert!(
+                    !self.db.is_deleted(w.cref),
+                    "watcher of a deleted clause survived to propagation"
+                );
+                let lits = self.db.lits_mut(w.cref);
                 // Ensure the falsified watched literal (!p) sits at slot 1.
-                let false_lit = !p;
-                {
-                    let c = self.db.get_mut(w.cref);
-                    let lits = c.lits_mut();
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.get(w.cref).lits()[0];
-                if self.lit_value(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if lit_is_true(&self.assigns, first) {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(w.cref).len();
-                for k in 2..len {
-                    let cand = self.db.get(w.cref).lits()[k];
-                    if self.lit_value(cand) != LBool::False {
-                        let c = self.db.get_mut(w.cref);
-                        c.lits_mut().swap(1, k);
+                for k in 2..lits.len() {
+                    let cand = lits[k];
+                    if !lit_is_false(&self.assigns, cand) {
+                        lits.swap(1, k);
                         self.watches[(!cand).index()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -790,7 +829,7 @@ impl Solver {
                     }
                 }
                 // No replacement: unit or conflicting.
-                if self.lit_value(first) == LBool::False {
+                if lit_is_false(&self.assigns, first) {
                     conflict = Some(w.cref);
                     self.qhead = self.trail.len();
                     break;
@@ -824,26 +863,11 @@ impl Solver {
         self.qhead = bound;
     }
 
-    fn bump_var(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > RESCALE_LIMIT {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.heap.update(v, &self.activity);
-    }
-
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let inc = self.cla_inc;
-        let c = self.db.get_mut(cref);
-        c.activity += inc;
-        if c.activity > RESCALE_LIMIT {
-            let refs: Vec<ClauseRef> = self.db.learnt_refs();
-            for r in refs {
-                self.db.get_mut(r).activity *= 1e-100;
-            }
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > RESCALE_LIMIT {
+            self.db.scale_learnt_activities(1e-100);
             self.cla_inc *= 1e-100;
         }
     }
@@ -867,8 +891,7 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            let lits: Vec<Lit> = self.db.get(cref).lits().to_vec();
-            for q in lits {
+            for &q in self.db.lits(cref) {
                 // Skip the implied literal itself when traversing its reason.
                 if Some(q) == p {
                     continue;
@@ -876,7 +899,14 @@ impl Solver {
                 let v = q.var();
                 if !self.seen[v.index()] && self.levels[v.index()] > 0 {
                     self.seen[v.index()] = true;
-                    self.bump_var(v);
+                    let inc = self.var_inc;
+                    bump_activity(
+                        &mut self.activity,
+                        &mut self.var_inc,
+                        &mut self.heap,
+                        v,
+                        inc,
+                    );
                     if self.levels[v.index()] >= current_level {
                         counter += 1;
                     } else {
@@ -894,11 +924,10 @@ impl Solver {
             let lit = self.trail[index];
             self.seen[lit.var().index()] = false;
             counter -= 1;
+            p = Some(lit);
             if counter == 0 {
-                p = Some(lit);
                 break;
             }
-            p = Some(lit);
             cref = self.reasons[lit.var().index()]
                 .expect("non-decision literal on conflict side must have a reason");
         }
@@ -909,39 +938,49 @@ impl Solver {
         for &l in &learnt {
             self.seen[l.var().index()] = true;
         }
-        let minimised: Vec<Lit> = learnt
-            .iter()
-            .copied()
-            .filter(|&l| !self.literal_redundant(l))
-            .collect();
+        let mut out = Vec::with_capacity(learnt.len() + 1);
+        out.push(asserting);
+        out.extend(
+            learnt
+                .iter()
+                .copied()
+                .filter(|&l| !self.literal_redundant(l)),
+        );
         for &l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = minimised;
-        self.stats.learnt_literals += learnt.len() as u64 + 1;
+        self.stats.learnt_literals += out.len() as u64;
 
-        // Backtrack level = highest level among the non-asserting literals.
-        let bt_level = learnt
+        // Backtrack level = highest level among the non-asserting literals;
+        // move the first literal of that level to slot 1 (second watch).
+        let tail = &mut out[1..];
+        let bt_level = tail
             .iter()
             .map(|l| self.levels[l.var().index()])
             .max()
             .unwrap_or(0);
-        // Move a literal of bt_level to slot 1 (second watch invariant).
-        let mut out = Vec::with_capacity(learnt.len() + 1);
-        out.push(asserting);
-        if let Some(pos) = learnt
+        if let Some(pos) = tail
             .iter()
             .position(|l| self.levels[l.var().index()] == bt_level)
         {
-            learnt.swap(0, pos);
+            tail.swap(0, pos);
         }
-        out.extend(learnt);
 
         // LBD = number of distinct decision levels in the clause.
-        let mut lvls: Vec<u32> = out.iter().map(|l| self.levels[l.var().index()]).collect();
-        lvls.sort_unstable();
-        lvls.dedup();
-        let lbd = lvls.len() as u32;
+        if self.level_seen.len() <= current_level as usize {
+            self.level_seen.resize(current_level as usize + 1, false);
+        }
+        let mut lbd = 0;
+        for l in &out {
+            let level = self.levels[l.var().index()] as usize;
+            if !self.level_seen[level] {
+                self.level_seen[level] = true;
+                lbd += 1;
+            }
+        }
+        for l in &out {
+            self.level_seen[self.levels[l.var().index()] as usize] = false;
+        }
 
         (out, bt_level, lbd)
     }
@@ -952,7 +991,7 @@ impl Solver {
     fn literal_redundant(&self, l: Lit) -> bool {
         match self.reasons[l.var().index()] {
             None => false,
-            Some(r) => self.db.get(r).lits().iter().all(|&q| {
+            Some(r) => self.db.lits(r).iter().all(|&q| {
                 q.var() == l.var()
                     || self.seen[q.var().index()]
                     || self.levels[q.var().index()] == 0
@@ -984,8 +1023,7 @@ impl Solver {
                     core.push(q);
                 }
                 Some(r) => {
-                    let lits: Vec<Lit> = self.db.get(r).lits().to_vec();
-                    for x in lits {
+                    for &x in self.db.lits(r) {
                         if self.levels[x.var().index()] > 0 {
                             self.seen[x.var().index()] = true;
                         }
@@ -1056,7 +1094,7 @@ impl Solver {
                     self.enqueue(learnt[0], None);
                 } else {
                     let asserting = learnt[0];
-                    let cref = self.db.push(learnt, true, lbd);
+                    let cref = self.db.push(&learnt, true, lbd);
                     self.attach(cref);
                     self.enqueue(asserting, Some(cref));
                 }
@@ -1195,21 +1233,21 @@ impl Solver {
         let mut units: Vec<Lit> = Vec::new();
         for r in refs {
             let original = if self.proof.is_some() {
-                Some(self.db.get(r).lits().to_vec())
+                Some(self.db.lits(r).to_vec())
             } else {
                 None
             };
             let mut satisfied = false;
             let mut k = 0;
-            while k < self.db.get(r).len() {
-                let l = self.db.get(r).lits()[k];
+            while k < self.db.len(r) {
+                let l = self.db.lits(r)[k];
                 match self.lit_value(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {
-                        self.db.get_mut(r).swap_remove(k);
+                        self.db.swap_remove(r, k);
                     }
                     LBool::Undef => k += 1,
                 }
@@ -1225,19 +1263,19 @@ impl Solver {
             // stripped version (RUP via the level-0 facts) and retire the
             // original. For recovered units (and the empty clause) the
             // strengthened lemma stays in the proof's active set even though
-            // the database slot is released.
-            if let Some(orig) = original.filter(|o| o.len() != self.db.get(r).len()) {
-                let now = self.db.get(r).lits().to_vec();
+            // the clause leaves the database.
+            if let Some(orig) = original.filter(|o| o.len() != self.db.len(r)) {
+                let now = self.db.lits(r).to_vec();
                 self.proof_add(&now);
                 self.proof_delete(&orig);
             }
-            match self.db.get(r).len() {
+            match self.db.len(r) {
                 0 => {
                     self.ok = false;
                     return None;
                 }
                 1 => {
-                    units.push(self.db.get(r).lits()[0]);
+                    units.push(self.db.lits(r)[0]);
                     self.db.delete(r);
                 }
                 _ => {}
@@ -1252,22 +1290,20 @@ impl Solver {
         let deleted_before = self.stats.deleted_clauses;
         let mut learnt = self.db.learnt_refs();
         learnt.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            ca.lbd.cmp(&cb.lbd).then(
-                cb.activity
-                    .partial_cmp(&ca.activity)
+            self.db.lbd(a).cmp(&self.db.lbd(b)).then(
+                self.db
+                    .activity(b)
+                    .partial_cmp(&self.db.activity(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let keep = learnt.len() / 2;
         for &r in learnt.iter().skip(keep) {
-            if self.db.get(r).lbd <= 2 {
+            if self.db.lbd(r) <= 2 {
                 continue;
             }
-            if self.proof.is_some() {
-                let lits = self.db.get(r).lits().to_vec();
-                self.proof_delete(&lits);
+            if let Some(p) = self.proof.as_mut() {
+                p.delete_clause(self.db.lits(r));
             }
             self.db.delete(r);
             self.stats.deleted_clauses += 1;
@@ -1284,13 +1320,25 @@ impl Solver {
         );
     }
 
+    /// Re-attaches the watches of every live clause, dropping those of
+    /// deleted ones. Runs at decision level 0, so this is also where the
+    /// clause arena is compacted once a quarter of it is dead: the watches
+    /// are rebuilt from scratch anyway, and level-0 reasons are never
+    /// inspected again, so they are cleared rather than relocated.
     fn rebuild_watches(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
         for w in &mut self.watches {
             w.clear();
         }
+        if self.db.wants_compaction() {
+            for &p in &self.trail {
+                self.reasons[p.var().index()] = None;
+            }
+            self.db.compact();
+        }
         let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         for r in refs {
-            debug_assert!(self.db.get(r).len() >= 2);
+            debug_assert!(self.db.len(r) >= 2);
             self.attach(r);
         }
     }
@@ -1701,7 +1749,11 @@ mod tests {
                 }
             }
         }
+        // A small learnt budget makes the restarts reduce the database, so
+        // the deleted-clause delta is exercised too.
+        s.reduce_limit = 16;
         assert!(s.solve().is_unsat());
+        assert!(s.stats().deleted_clauses > 0, "no reduction ran");
         let events = sink.events();
         let closes: Vec<_> = events
             .iter()
@@ -1715,8 +1767,106 @@ mod tests {
             close.field_u64("propagations"),
             Some(s.stats().propagations)
         );
+        assert_eq!(close.field_u64("decisions"), Some(s.stats().decisions));
+        assert_eq!(
+            close.field_u64("learnt_literals"),
+            Some(s.stats().learnt_literals)
+        );
+        assert_eq!(
+            close.field_u64("deleted_clauses"),
+            Some(s.stats().deleted_clauses)
+        );
         let restarts = events.iter().filter(|e| e.name == "sat.restart").count();
         assert_eq!(restarts as u64, s.stats().restarts);
+    }
+
+    /// Pigeonhole PHP(n, n-1) with one selector per pigeon: placing every
+    /// pigeon is only required while all selectors are assumed.
+    fn guarded_pigeonhole(s: &mut Solver, n: usize) -> Vec<Lit> {
+        let p: Vec<Vec<Lit>> = (0..n)
+            .map(|_| (0..n - 1).map(|_| lit(s)).collect())
+            .collect();
+        for h in 0..n - 1 {
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    s.add_clause([!p[i][h], !p[j][h]]);
+                }
+            }
+        }
+        let sel: Vec<Lit> = (0..n).map(|_| lit(s)).collect();
+        for (row, &sl) in p.iter().zip(&sel) {
+            let mut clause = vec![!sl];
+            clause.extend(row.iter().copied());
+            s.add_clause(clause);
+        }
+        sel
+    }
+
+    #[test]
+    fn warm_solver_arena_stays_proportional_to_live_clauses() {
+        // A warm core living across many ticks, as in replanning: every
+        // tick adds a fresh guarded subproblem, refutes it under its
+        // selectors and reduces the learnt database. The arena must not
+        // keep the words of every learnt clause ever made.
+        let mut s = Solver::new();
+        let mut learnt_words = 0u64;
+        for tick in 0..24 {
+            let sel = guarded_pigeonhole(&mut s, 6);
+            s.reduce_limit = 16;
+            let before = s.stats().learnt_literals;
+            assert!(s.solve_with(&sel).is_unsat());
+            learnt_words += s.stats().learnt_literals - before;
+            let (arena, live) = (s.db.arena_words(), s.db.live_words());
+            assert!(
+                4 * (arena - live) < arena,
+                "tick {tick}: {arena} arena words for {live} live"
+            );
+        }
+        assert!(
+            s.stats().deleted_clauses > 1000,
+            "reductions must run: {:?}",
+            s.stats()
+        );
+        assert!(
+            learnt_words > 2 * s.db.arena_words() as u64,
+            "the ticks must learn more than the arena holds: {learnt_words} words learnt, \
+             arena {}",
+            s.db.arena_words()
+        );
+    }
+
+    #[test]
+    fn preprocess_then_reduce_keeps_watches_live() {
+        // Every clause deletion (preprocessing passes, satisfied-clause
+        // removal, learnt reduction) must be followed by a watch rebuild
+        // before propagation; `propagate` debug-asserts that no watcher
+        // reaches a deleted clause.
+        let mut s = Solver::new();
+        let sel = guarded_pigeonhole(&mut s, 7);
+        // Subsumable, strengthenable and eliminable extras.
+        let x: Vec<Lit> = (0..6).map(|_| lit(&mut s)).collect();
+        s.add_clause([x[0], x[1]]);
+        s.add_clause([x[0], x[1], x[2]]);
+        s.add_clause([!x[0], x[1], x[3]]);
+        s.add_clause([!x[4], x[5]]);
+        s.add_clause([x[4], x[2]]);
+        for &l in sel.iter().chain([&x[1]]) {
+            s.freeze_var(l.var());
+        }
+        let st = s.preprocess(&PreprocessConfig::default());
+        assert!(
+            st.clauses_removed() > 0,
+            "preprocessing must delete clauses"
+        );
+        s.reduce_limit = 16;
+        assert!(s.solve_with(&sel).is_unsat());
+        assert!(s.stats().deleted_clauses > 0, "reduction must run");
+        // A later tick fixes a unit at level 0, so the restart removes
+        // satisfied clauses as well.
+        s.add_clause([x[1]]);
+        s.reduce_limit = 16;
+        assert!(s.solve_with(&sel).is_unsat());
+        assert!(s.solve_with(&sel[1..]).is_sat());
     }
 
     #[test]

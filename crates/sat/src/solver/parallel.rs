@@ -284,7 +284,7 @@ impl Solver {
                 }
                 _ => {
                     let lbd = entry.lbd.min(keep.len() as u32);
-                    let cref = self.db.push(keep, true, lbd);
+                    let cref = self.db.push(&keep, true, lbd);
                     self.attach(cref);
                     pool.kept.fetch_add(1, Ordering::Relaxed);
                 }
@@ -496,6 +496,7 @@ impl Solver {
             phase: self.phase.clone(),
             ok: self.ok,
             seen: self.seen.clone(),
+            level_seen: self.level_seen.clone(),
             stats: Stats::default(),
             reduce_limit: self.reduce_limit,
             last_simplify_trail: self.last_simplify_trail,

@@ -160,15 +160,20 @@ impl fmt::Display for Lit {
 }
 
 /// Tri-state assignment value used inside the solver and in [`crate::Model`].
+///
+/// The discriminants are fixed: `True` is 0 and `False` is 1, the same as a
+/// [`Lit`]'s sign bit when the literal holds, which lets propagation test
+/// literal truth with one comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Default)]
+#[repr(u8)]
 pub enum LBool {
     /// Assigned true.
-    True,
+    True = 0,
     /// Assigned false.
-    False,
+    False = 1,
     /// Not assigned.
     #[default]
-    Undef,
+    Undef = 2,
 }
 
 impl LBool {

@@ -95,7 +95,8 @@ fn version_mismatched_hello_is_refused() {
 
 #[test]
 fn client_types_the_version_mismatch() {
-    // A fake "shard" from the future: speaks proto 2.
+    // A fake "shard" from the future: speaks the next protocol version.
+    let future = PROTO_VERSION + 1;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let fake = std::thread::spawn(move || {
@@ -106,8 +107,11 @@ fn client_types_the_version_mismatch() {
         let mut writer = stream;
         writer
             .write_all(
-                b"{\"type\": \"hello_err\", \"reason\": \"unsupported protocol version 1\", \
-                  \"proto\": 2, \"cache_key\": \"etcs-cache-key-v3\"}\n",
+                format!(
+                    "{{\"type\": \"hello_err\", \"reason\": \"unsupported protocol version \
+                     {PROTO_VERSION}\", \"proto\": {future}, \"cache_key\": \"etcs-cache-key-v3\"}}\n"
+                )
+                .as_bytes(),
             )
             .expect("write");
     });
@@ -117,7 +121,7 @@ fn client_types_the_version_mismatch() {
         WireError::VersionMismatch {
             field: "proto",
             ours: PROTO_VERSION.to_string(),
-            theirs: "2".to_string(),
+            theirs: future.to_string(),
         }
     );
     fake.join().expect("fake shard");

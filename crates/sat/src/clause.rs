@@ -228,8 +228,10 @@ impl ClauseDb {
     }
 
     /// Advances `pos` past the clause at or after it (skipping fillers and
-    /// deleted clauses) and returns that clause.
-    fn next_clause(&self, pos: &mut usize) -> Option<ClauseRef> {
+    /// deleted clauses) and returns that clause. Starting from `pos = 0`,
+    /// repeated calls walk the live clauses in insertion order; the caller
+    /// may shorten or delete the clause just returned between calls.
+    pub(crate) fn next_clause(&self, pos: &mut usize) -> Option<ClauseRef> {
         while *pos < self.arena.len() {
             if self.arena[*pos] == GAP {
                 *pos += 1;

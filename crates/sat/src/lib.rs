@@ -5,7 +5,8 @@
 //! Wille et al. (DATE 2021) requires:
 //!
 //! * [`Solver`] — conflict-driven clause learning with two-watched-literal
-//!   propagation, VSIDS + phase saving, Luby restarts, LBD-based clause
+//!   propagation, recursive learnt-clause minimisation, VSIDS + phase
+//!   saving, LBD-average (Glucose-style) restarts, LBD-based clause
 //!   database reduction, incremental solving under assumptions and
 //!   unsat-core extraction, plus certified SatELite-style preprocessing
 //!   ([`Solver::preprocess`], [`PreprocessConfig`]) with DRAT-logged
@@ -81,7 +82,7 @@ pub use pb::{Objective, ObjectiveCounter};
 pub use proof::{check_drat, CheckOutcome, DratProof, ProofError, ProofSink, ProofStep};
 pub use solver::parallel;
 pub use solver::{
-    luby, PortfolioConfig, PortfolioStats, PreprocessConfig, PreprocessStats, SatResult, Solver,
+    PortfolioConfig, PortfolioStats, PreprocessConfig, PreprocessStats, SatResult, Solver,
     SolverConfig,
 };
 pub use stats::Stats;

@@ -1,10 +1,16 @@
 //! Conflict-driven clause-learning (CDCL) SAT solver.
 //!
 //! The engine implements the standard modern architecture: two-watched-literal
-//! propagation with blocker literals, first-UIP conflict analysis with clause
-//! minimisation, VSIDS decision heuristics with phase saving, Luby restarts,
-//! LBD-based learnt-clause database reduction, level-0 simplification, and
-//! incremental solving under assumptions with unsat-core extraction.
+//! propagation with blocker literals, first-UIP conflict analysis with
+//! recursive (memoised) learnt-clause minimisation, VSIDS decision heuristics
+//! with phase saving, Glucose-style restarts driven by moving averages of the
+//! learnt clauses' LBD, LBD-ordered learnt-clause database reduction paced by
+//! conflicts, level-0 simplification, and incremental solving under
+//! assumptions with unsat-core extraction.
+//!
+//! Minimisation follows Sörensson & Biere, "Minimizing Learned Clauses"
+//! (SAT 2009); the restart policy follows Audemard & Simon, "Refining
+//! Restarts Strategies for SAT and UNSAT" (CP 2012).
 //!
 //! This crate is the substrate standing in for Z3 in the ETCS Level 3
 //! reproduction: the encodings in `etcs-core` are plain CNF plus linear
@@ -14,11 +20,9 @@
 mod heap;
 pub mod parallel;
 mod preprocess;
-mod restart;
 
 pub use parallel::{PortfolioConfig, PortfolioStats};
 pub use preprocess::{PreprocessConfig, PreprocessStats};
-pub use restart::luby;
 
 use crate::clause::{ClauseDb, ClauseRef};
 use crate::interrupt::Interrupt;
@@ -47,8 +51,11 @@ pub struct SolverConfig {
     /// VSIDS variable-activity decay factor (0 < decay ≤ 1; smaller decays
     /// focus harder on recent conflicts).
     pub var_decay: f64,
-    /// Base conflict limit of the Luby restart sequence.
-    pub restart_base: u64,
+    /// Fewest conflicts between two restarts. Past it, the search restarts
+    /// as soon as the recent learnt clauses' LBD average (fast moving
+    /// average) exceeds the long-run one (slow moving average) by a quarter;
+    /// `u64::MAX` never restarts.
+    pub restart_min: u64,
 }
 
 impl Default for SolverConfig {
@@ -56,7 +63,7 @@ impl Default for SolverConfig {
         SolverConfig {
             poll_interval: 64,
             var_decay: 0.95,
-            restart_base: 128,
+            restart_min: 50,
         }
     }
 }
@@ -118,6 +125,35 @@ struct Watcher {
 
 const CLAUSE_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
+
+/// Smoothing factors of the fast and slow moving averages of learnt-clause
+/// LBD that drive restarts.
+const LBD_EMA_FAST: f64 = 1.0 / 32.0;
+const LBD_EMA_SLOW: f64 = 1.0 / 4096.0;
+/// A restart fires once `fast * RESTART_MARGIN > slow`: the recent learnt
+/// clauses are markedly worse than the long-run average.
+const RESTART_MARGIN: f64 = 0.8;
+/// Learnt clauses kept before the first database reduction; the limit then
+/// grows by half at each reduction.
+const FIRST_REDUCE_LIMIT: usize = 2000;
+
+/// Per-variable marks of conflict analysis (`Solver::seen`). Between
+/// conflicts every mark is `CLEAR`.
+const CLEAR: u8 = 0;
+/// Met on the conflict side during the first-UIP walk; afterwards, a
+/// variable of the learnt clause.
+const SOURCE: u8 = 1;
+/// Minimisation memo: implied by clause literals and level-0 facts alone.
+const REMOVABLE: u8 = 2;
+/// Minimisation memo: depends on a decision outside the clause.
+const FAILED: u8 = 3;
+
+/// One bit per decision level, modulo 32: the levels of a learnt clause
+/// as a cheap superset filter for minimisation.
+#[inline]
+fn abstract_level(level: u32) -> u32 {
+    1 << (level & 31)
+}
 
 /// `true` iff `l` is assigned true. [`LBool::True`] and [`LBool::False`]
 /// have discriminants 0 and 1, so a literal holds exactly when its
@@ -182,7 +218,21 @@ pub struct Solver {
     phase: Vec<bool>,
     /// Becomes false once level-0 unsatisfiability is established.
     ok: bool,
-    seen: Vec<bool>,
+    /// Conflict-analysis marks per variable ([`CLEAR`], [`SOURCE`],
+    /// [`REMOVABLE`], [`FAILED`]); all clear between conflicts.
+    seen: Vec<u8>,
+    /// The clause `analyze` learnt last (asserting literal first); kept as
+    /// a field so its buffer is reused from conflict to conflict.
+    learnt: Vec<Lit>,
+    /// Depth-first stack of minimisation's walk over reason clauses:
+    /// `(next literal index in the reason, implied literal)`.
+    analyze_stack: Vec<(usize, Lit)>,
+    /// Variables whose mark must be cleared when `analyze` returns.
+    analyze_toclear: Vec<Lit>,
+    /// Fast and slow moving averages of learnt-clause LBD (see
+    /// [`LBD_EMA_FAST`]). They start at 0 and persist across calls.
+    lbd_ema_fast: f64,
+    lbd_ema_slow: f64,
     /// Per-decision-level marks for counting a learnt clause's LBD; all
     /// false between conflicts.
     level_seen: Vec<bool>,
@@ -202,7 +252,7 @@ pub struct Solver {
     /// which case every poll is a single branch.
     interrupt: Interrupt,
     default_phase: bool,
-    /// Tunable search parameters (restart base, decay, poll cadence).
+    /// Tunable search parameters (restart minimum, decay, poll cadence).
     config: SolverConfig,
     /// When set (≥ 2 threads), `solve`/`solve_with` race diversified worker
     /// clones with clause sharing instead of searching single-threaded.
@@ -256,9 +306,14 @@ impl Solver {
             phase: Vec::new(),
             ok: true,
             seen: Vec::new(),
+            learnt: Vec::new(),
+            analyze_stack: Vec::new(),
+            analyze_toclear: Vec::new(),
+            lbd_ema_fast: 0.0,
+            lbd_ema_slow: 0.0,
             level_seen: Vec::new(),
             stats: Stats::default(),
-            reduce_limit: 2000,
+            reduce_limit: FIRST_REDUCE_LIMIT,
             last_simplify_trail: 0,
             proof_units: 0,
             conflict_budget: None,
@@ -278,8 +333,8 @@ impl Solver {
 
     /// Installs an observability handle: every later `solve`/`solve_with`
     /// call is wrapped in a `sat.solve` span (closing with the call's
-    /// conflict/propagation/decision/restart/learnt-literal/deleted-clause
-    /// deltas and its verdict), restarts emit
+    /// conflict/propagation/decision/restart/learnt-literal/
+    /// minimised-literal/deleted-clause deltas and its verdict), restarts emit
     /// `sat.restart` events and learnt-database reductions `sat.reduce`
     /// events. Installing [`Obs::disabled`] (the initial state) turns all
     /// of that back into single branches.
@@ -340,7 +395,7 @@ impl Solver {
         self.reasons.push(None);
         self.activity.push(0.0);
         self.phase.push(self.default_phase);
-        self.seen.push(false);
+        self.seen.push(CLEAR);
         self.eliminated.push(false);
         self.frozen.push(false);
         self.watches.push(Vec::new());
@@ -637,6 +692,10 @@ impl Solver {
                 (self.stats.learnt_literals - before.learnt_literals).into(),
             ),
             (
+                "minimised_literals",
+                (self.stats.minimised_literals - before.minimised_literals).into(),
+            ),
+            (
                 "deleted_clauses",
                 (self.stats.deleted_clauses - before.deleted_clauses).into(),
             ),
@@ -677,11 +736,7 @@ impl Solver {
             self.ok = false;
             return SatResult::Unsat { core: Vec::new() };
         }
-        // Size the learnt-clause budget to the problem: tiny limits thrash
-        // on large encodings.
-        self.reduce_limit = self.reduce_limit.max(self.db.num_problem() / 2);
         let budget_start = self.stats.conflicts;
-        let mut restart_num = 0u64;
         loop {
             // Restart-boundary poll: catches tokens triggered before the
             // call as well as deadlines expiring between restarts.
@@ -689,9 +744,7 @@ impl Solver {
                 self.cancel_until(0);
                 return SatResult::Unknown;
             }
-            restart_num += 1;
-            let limit = self.config.restart_base.saturating_mul(luby(restart_num));
-            match self.search(assumptions, limit, budget_start) {
+            match self.search(assumptions, budget_start) {
                 SearchOutcome::Sat => {
                     let model = self.reconstructed_model();
                     self.cancel_until(0);
@@ -877,12 +930,16 @@ impl Solver {
         self.cla_inc /= CLAUSE_DECAY;
     }
 
-    /// First-UIP conflict analysis.
+    /// First-UIP conflict analysis with recursive clause minimisation.
     ///
-    /// Returns the learnt clause (asserting literal first), the backtrack
-    /// level, and the clause's literal-block distance.
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = Vec::with_capacity(8);
+    /// Leaves the learnt clause in `self.learnt` (asserting literal first,
+    /// a literal of the backtrack level second) and returns the backtrack
+    /// level and the clause's literal-block distance.
+    fn analyze(&mut self, conflict: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        // Slot 0 is the asserting literal, filled in once the UIP is found.
+        learnt.push(Lit(0));
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -897,8 +954,8 @@ impl Solver {
                     continue;
                 }
                 let v = q.var();
-                if !self.seen[v.index()] && self.levels[v.index()] > 0 {
-                    self.seen[v.index()] = true;
+                if self.seen[v.index()] == CLEAR && self.levels[v.index()] > 0 {
+                    self.seen[v.index()] = SOURCE;
                     let inc = self.var_inc;
                     bump_activity(
                         &mut self.activity,
@@ -917,12 +974,12 @@ impl Solver {
             // Next marked literal on the trail.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] != CLEAR {
                     break;
                 }
             }
             let lit = self.trail[index];
-            self.seen[lit.var().index()] = false;
+            self.seen[lit.var().index()] = CLEAR;
             counter -= 1;
             p = Some(lit);
             if counter == 0 {
@@ -931,29 +988,39 @@ impl Solver {
             cref = self.reasons[lit.var().index()]
                 .expect("non-decision literal on conflict side must have a reason");
         }
+        learnt[0] = !p.expect("analysis always reaches the first UIP");
 
-        let asserting = !p.expect("analysis always reaches the first UIP");
-        // Clause minimisation: drop literals whose reason is subsumed by the
-        // remainder of the learnt clause (one-step self-subsumption).
-        for &l in &learnt {
-            self.seen[l.var().index()] = true;
+        // Minimisation: drop every literal implied by the rest of the clause
+        // and level-0 facts. The tail's variables are still marked SOURCE;
+        // the walk memoises its verdicts in the same marks.
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&learnt[1..]);
+        let levels = learnt[1..].iter().fold(0, |acc, l| {
+            acc | abstract_level(self.levels[l.var().index()])
+        });
+        let before = learnt.len();
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reasons[l.var().index()].is_none() || !self.lit_redundant(l, levels) {
+                learnt[kept] = l;
+                kept += 1;
+            }
         }
-        let mut out = Vec::with_capacity(learnt.len() + 1);
-        out.push(asserting);
-        out.extend(
-            learnt
-                .iter()
-                .copied()
-                .filter(|&l| !self.literal_redundant(l)),
+        learnt.truncate(kept);
+        for l in &self.analyze_toclear {
+            self.seen[l.var().index()] = CLEAR;
+        }
+        debug_assert!(
+            self.seen.iter().all(|&m| m == CLEAR),
+            "analysis left marks behind"
         );
-        for &l in &learnt {
-            self.seen[l.var().index()] = false;
-        }
-        self.stats.learnt_literals += out.len() as u64;
+        self.stats.minimised_literals += (before - kept) as u64;
+        self.stats.learnt_literals += kept as u64;
 
         // Backtrack level = highest level among the non-asserting literals;
         // move the first literal of that level to slot 1 (second watch).
-        let tail = &mut out[1..];
+        let tail = &mut learnt[1..];
         let bt_level = tail
             .iter()
             .map(|l| self.levels[l.var().index()])
@@ -971,32 +1038,84 @@ impl Solver {
             self.level_seen.resize(current_level as usize + 1, false);
         }
         let mut lbd = 0;
-        for l in &out {
+        for l in &learnt {
             let level = self.levels[l.var().index()] as usize;
             if !self.level_seen[level] {
                 self.level_seen[level] = true;
                 lbd += 1;
             }
         }
-        for l in &out {
+        for l in &learnt {
             self.level_seen[self.levels[l.var().index()] as usize] = false;
         }
 
-        (out, bt_level, lbd)
+        self.learnt = learnt;
+        (bt_level, lbd)
     }
 
-    /// One-step redundancy check for clause minimisation: `l` is redundant if
-    /// it was implied by literals that are all already in the learnt clause
-    /// (or fixed at level 0).
-    fn literal_redundant(&self, l: Lit) -> bool {
-        match self.reasons[l.var().index()] {
-            None => false,
-            Some(r) => self.db.lits(r).iter().all(|&q| {
-                q.var() == l.var()
-                    || self.seen[q.var().index()]
-                    || self.levels[q.var().index()] == 0
-            }),
-        }
+    /// `true` iff the learnt-clause literal `p`, which has a reason, is
+    /// implied by the clause's other literals and level-0 facts: a
+    /// depth-first walk over reason clauses in which a clause literal, a
+    /// level-0 literal or a variable already found removable ends a branch
+    /// as success, and a decision, a variable already found failed or a
+    /// level outside `levels` (the clause's [`abstract_level`]s) fails the
+    /// whole walk. Every variable the walk decides is memoised in `seen`
+    /// and queued on `analyze_toclear`, so one conflict's minimisation
+    /// visits each variable at most once.
+    fn lit_redundant(&mut self, mut p: Lit, levels: u32) -> bool {
+        let mut stack = std::mem::take(&mut self.analyze_stack);
+        stack.clear();
+        let mut cref = self.reasons[p.var().index()].expect("minimised literal has a reason");
+        // Slot 0 of a reason is the literal it implied.
+        let mut i = 1;
+        let redundant = loop {
+            let lits = self.db.lits(cref);
+            debug_assert_eq!(lits[0].var(), p.var());
+            if i < lits.len() {
+                let l = lits[i];
+                i += 1;
+                let v = l.var().index();
+                let mark = self.seen[v];
+                if self.levels[v] == 0 || mark == SOURCE || mark == REMOVABLE {
+                    continue;
+                }
+                let reason = self.reasons[v];
+                if reason.is_none()
+                    || mark == FAILED
+                    || abstract_level(self.levels[v]) & levels == 0
+                {
+                    // `p` and every literal it was reached from fail too.
+                    stack.push((0, p));
+                    for &(_, q) in &stack {
+                        if self.seen[q.var().index()] == CLEAR {
+                            self.seen[q.var().index()] = FAILED;
+                            self.analyze_toclear.push(q);
+                        }
+                    }
+                    break false;
+                }
+                stack.push((i, p));
+                p = l;
+                i = 1;
+                cref = reason.expect("checked above");
+            } else {
+                // Every antecedent of `p` is accounted for.
+                if self.seen[p.var().index()] == CLEAR {
+                    self.seen[p.var().index()] = REMOVABLE;
+                    self.analyze_toclear.push(p);
+                }
+                match stack.pop() {
+                    None => break true,
+                    Some((next, q)) => {
+                        i = next;
+                        p = q;
+                        cref = self.reasons[q.var().index()].expect("stacked literal has a reason");
+                    }
+                }
+            }
+        };
+        self.analyze_stack = stack;
+        redundant
     }
 
     /// Computes the subset of assumptions responsible for forcing `!failed`.
@@ -1005,12 +1124,12 @@ impl Solver {
         if self.decision_level() == 0 {
             return core;
         }
-        self.seen[failed.var().index()] = true;
+        self.seen[failed.var().index()] = SOURCE;
         let start = self.trail_lim[0];
         for i in (start..self.trail.len()).rev() {
             let q = self.trail[i];
             let v = q.var().index();
-            if !self.seen[v] {
+            if self.seen[v] == CLEAR {
                 continue;
             }
             match self.reasons[v] {
@@ -1025,14 +1144,14 @@ impl Solver {
                 Some(r) => {
                     for &x in self.db.lits(r) {
                         if self.levels[x.var().index()] > 0 {
-                            self.seen[x.var().index()] = true;
+                            self.seen[x.var().index()] = SOURCE;
                         }
                     }
                 }
             }
-            self.seen[v] = false;
+            self.seen[v] = CLEAR;
         }
-        self.seen[failed.var().index()] = false;
+        self.seen[failed.var().index()] = CLEAR;
         core
     }
 
@@ -1066,12 +1185,11 @@ impl Solver {
         Model::from_values(values)
     }
 
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        conflict_limit: u64,
-        budget_start: u64,
-    ) -> SearchOutcome {
+    /// Searches until a verdict, an interrupt, an exhausted budget or a
+    /// restart: at least [`SolverConfig::restart_min`] conflicts into this
+    /// call, once the fast LBD average exceeds the slow one by the
+    /// [`RESTART_MARGIN`].
+    fn search(&mut self, assumptions: &[Lit], budget_start: u64) -> SearchOutcome {
         let mut conflicts_here = 0u64;
         let poll_mask = self.config.poll_mask();
         loop {
@@ -1083,8 +1201,11 @@ impl Solver {
                     self.ok = false;
                     return SearchOutcome::Unsat(Vec::new());
                 }
-                let (learnt, bt_level, lbd) = self.analyze(conflict);
+                let (bt_level, lbd) = self.analyze(conflict);
+                self.lbd_ema_fast += (f64::from(lbd) - self.lbd_ema_fast) * LBD_EMA_FAST;
+                self.lbd_ema_slow += (f64::from(lbd) - self.lbd_ema_slow) * LBD_EMA_SLOW;
                 self.cancel_until(bt_level);
+                let learnt = std::mem::take(&mut self.learnt);
                 self.proof_add(&learnt);
                 if self.share.is_some() {
                     self.share_export(&learnt, lbd);
@@ -1098,6 +1219,7 @@ impl Solver {
                     self.attach(cref);
                     self.enqueue(asserting, Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_activities();
                 if let Some(budget) = self.conflict_budget {
                     if self.stats.conflicts - budget_start >= budget {
@@ -1116,7 +1238,9 @@ impl Solver {
                         return SearchOutcome::Interrupted;
                     }
                 }
-                if conflicts_here >= conflict_limit {
+                if conflicts_here >= self.config.restart_min
+                    && self.lbd_ema_fast * RESTART_MARGIN > self.lbd_ema_slow
+                {
                     return SearchOutcome::Restart;
                 }
             } else {
@@ -1229,9 +1353,11 @@ impl Solver {
             }
             self.proof_units = self.trail.len();
         }
-        let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
         let mut units: Vec<Lit> = Vec::new();
-        for r in refs {
+        // Walk the arena in place: shortening or deleting the clause just
+        // returned leaves the walk's position, past its old end, valid.
+        let mut pos = 0;
+        while let Some(r) = self.db.next_clause(&mut pos) {
             let original = if self.proof.is_some() {
                 Some(self.db.lits(r).to_vec())
             } else {
@@ -1336,8 +1462,8 @@ impl Solver {
             }
             self.db.compact();
         }
-        let refs: Vec<ClauseRef> = self.db.iter_refs().collect();
-        for r in refs {
+        let mut pos = 0;
+        while let Some(r) = self.db.next_clause(&mut pos) {
             debug_assert!(self.db.len(r) >= 2);
             self.attach(r);
         }
@@ -1614,7 +1740,7 @@ mod tests {
 
     #[test]
     fn tighter_poll_interval_still_returns_unknown_with_state_intact() {
-        // With a huge restart base there are no restart-boundary polls, so
+        // With restarts off there are no restart-boundary polls, so
         // only the per-conflict poll can observe the deadline; shrink it to
         // every conflict and interrupt a hard instance mid-restart.
         let n = 8usize;
@@ -1635,7 +1761,7 @@ mod tests {
         assert_eq!(s.config().poll_interval, 64, "documented default");
         s.set_config(SolverConfig {
             poll_interval: 1,
-            restart_base: u64::MAX,
+            restart_min: u64::MAX,
             ..SolverConfig::default()
         });
         let token = crate::Interrupt::with_deadline(std::time::Duration::from_millis(5));
@@ -1772,12 +1898,130 @@ mod tests {
             close.field_u64("learnt_literals"),
             Some(s.stats().learnt_literals)
         );
+        assert!(s.stats().minimised_literals > 0, "no literal minimised");
+        assert_eq!(
+            close.field_u64("minimised_literals"),
+            Some(s.stats().minimised_literals)
+        );
         assert_eq!(
             close.field_u64("deleted_clauses"),
             Some(s.stats().deleted_clauses)
         );
         let restarts = events.iter().filter(|e| e.name == "sat.restart").count();
         assert_eq!(restarts as u64, s.stats().restarts);
+    }
+
+    /// PHP(n, n-1) without selectors.
+    fn pigeonhole(s: &mut Solver, n: usize) {
+        let p: Vec<Vec<Lit>> = (0..n)
+            .map(|_| (0..n - 1).map(|_| lit(s)).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(row.iter().copied());
+        }
+        for h in 0..n - 1 {
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    s.add_clause([!p[i][h], !p[j][h]]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recursive_minimisation_drops_what_one_step_keeps() {
+        // Level 1 decides `a`, which implies b1 -> b2 -> c. Level 2 decides
+        // `d`, which implies `f`, and (¬d ∨ ¬c ∨ ¬f) conflicts. The first-UIP
+        // clause is (¬d ∨ ¬a ∨ ¬c). A one-step check keeps ¬c: its reason
+        // (¬b2 ∨ c) mentions b2, which is not in the clause. Walking the
+        // reasons back reaches `a`, so ¬c goes and (¬d ∨ ¬a) is learnt.
+        // The rest makes the formula unsatisfiable, so the whole run is
+        // certified.
+        let proof = std::sync::Arc::new(std::sync::Mutex::new(crate::proof::DratProof::new()));
+        let mut s = Solver::new();
+        s.set_proof_sink(Box::new(std::sync::Arc::clone(&proof)));
+        let [a, b1, b2, c, d, f, g, h] = [(); 8].map(|_| lit(&mut s));
+        let axioms = vec![
+            vec![!a, b1],
+            vec![!b1, b2],
+            vec![!b2, c],
+            vec![!d, !a, f],
+            vec![!d, !c, !f],
+            vec![d, g],
+            vec![d, !g, !a],
+            vec![a, h],
+            vec![a, !h],
+        ];
+        for clause in &axioms {
+            s.add_clause(clause.iter().copied());
+        }
+        // Decide `a` first, then `d`, both true.
+        s.boost_activity(a.var(), 2.0);
+        s.boost_activity(d.var(), 1.0);
+        s.set_phase(a.var(), true);
+        s.set_phase(d.var(), true);
+        assert!(s.solve().is_unsat());
+
+        let proof = proof.lock().expect("proof lock");
+        let first = proof.steps().first().expect("the search learnt a clause");
+        let mut expected = vec![!d, !a];
+        expected.sort_unstable();
+        match first {
+            crate::proof::ProofStep::Add(clause) => {
+                let mut clause = clause.clone();
+                clause.sort_unstable();
+                assert_eq!(clause, expected, "first lemma is the minimised clause");
+            }
+            other => panic!("expected a lemma, got {other:?}"),
+        }
+        // The first-UIP clause lost one literal to minimisation.
+        assert_eq!(s.stats().minimised_literals, 1, "{:?}", s.stats());
+        crate::proof::check_drat(&axioms, &proof, &[]).expect("certificate is valid");
+    }
+
+    #[test]
+    fn analysis_marks_are_clear_after_every_conflict() {
+        // Drive the search conflict by conflict with a budget of one, so
+        // the marks can be inspected after each `analyze`.
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 6);
+        s.set_conflict_budget(Some(1));
+        let mut conflicts = 0;
+        let verdict = loop {
+            let r = s.solve();
+            assert!(s.seen.iter().all(|&m| m == CLEAR), "marks left set");
+            if r != SatResult::Unknown {
+                break r;
+            }
+            conflicts += 1;
+            assert!(conflicts < 100_000, "budget-sliced search must end");
+        };
+        assert!(verdict.is_unsat());
+        assert!(s.stats().conflicts > 10);
+        assert!(s.stats().minimised_literals > 0, "{:?}", s.stats());
+    }
+
+    #[test]
+    fn lbd_average_restarts_fire_and_can_be_disabled() {
+        let solve = |n: usize, restart_min: u64| {
+            let mut s = Solver::new();
+            s.set_config(SolverConfig {
+                restart_min,
+                ..SolverConfig::default()
+            });
+            pigeonhole(&mut s, n);
+            assert!(s.solve().is_unsat());
+            *s.stats()
+        };
+        // PHP(5, 4) takes fewer conflicts than the default minimum.
+        let st = solve(5, 8);
+        assert!(st.restarts > 0, "{st:?}");
+        assert!(st.restarts * 8 <= st.conflicts, "{st:?}");
+        let st = solve(5, u64::MAX);
+        assert!(st.conflicts > 0);
+        assert_eq!(st.restarts, 0, "{st:?}");
+        let st = solve(7, SolverConfig::default().restart_min);
+        assert!(st.restarts > 0, "{st:?}");
     }
 
     /// Pigeonhole PHP(n, n-1) with one selector per pigeon: placing every

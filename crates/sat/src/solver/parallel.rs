@@ -1,8 +1,8 @@
 //! In-process clause-sharing parallel portfolio.
 //!
 //! [`Solver::set_portfolio`] arms a race: each `solve`/`solve_with` call
-//! clones the solver into N *diversified* CDCL workers (varied restart
-//! base, VSIDS decay, saved-phase polarity, and seed-scrambled activity
+//! clones the solver into N *diversified* CDCL workers (varied minimum
+//! restart interval, VSIDS decay, saved-phase polarity, and seed-scrambled activity
 //! tie-breaking), runs them on the same formula under `std::thread::scope`,
 //! and returns the first decisive verdict, cancelling the siblings through
 //! a private [`Interrupt`] chained to the caller's external token.
@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 /// Per-worker diversification tables, indexed by `worker_index % 8`.
 /// Worker 0 is the calling solver itself and keeps its own configuration.
-const RESTART_DIVERSITY: [u64; 8] = [128, 64, 256, 32, 512, 100, 192, 48];
+const RESTART_DIVERSITY: [u64; 8] = [50, 25, 100, 12, 200, 40, 75, 20];
 const DECAY_DIVERSITY: [f64; 8] = [0.95, 0.90, 0.97, 0.85, 0.99, 0.80, 0.93, 0.75];
 
 /// Upper bound on racing threads; beyond this, extra workers only add
@@ -435,7 +435,7 @@ impl Solver {
         worker.share = Some(ShareState::new(Arc::clone(pool), index, cfg));
         let div = index % RESTART_DIVERSITY.len();
         worker.config = SolverConfig {
-            restart_base: RESTART_DIVERSITY[div],
+            restart_min: RESTART_DIVERSITY[div],
             var_decay: DECAY_DIVERSITY[div],
             poll_interval: self.config.poll_interval,
         };
@@ -496,6 +496,11 @@ impl Solver {
             phase: self.phase.clone(),
             ok: self.ok,
             seen: self.seen.clone(),
+            learnt: Vec::new(),
+            analyze_stack: Vec::new(),
+            analyze_toclear: Vec::new(),
+            lbd_ema_fast: self.lbd_ema_fast,
+            lbd_ema_slow: self.lbd_ema_slow,
             level_seen: self.level_seen.clone(),
             stats: Stats::default(),
             reduce_limit: self.reduce_limit,

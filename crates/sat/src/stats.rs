@@ -28,6 +28,9 @@ pub struct Stats {
     pub restarts: u64,
     /// Total literals in learnt clauses (after minimisation).
     pub learnt_literals: u64,
+    /// Literals removed from learnt clauses by minimisation: the first-UIP
+    /// clauses had `learnt_literals + minimised_literals` literals.
+    pub minimised_literals: u64,
     /// Learnt clauses removed by database reduction.
     pub deleted_clauses: u64,
     /// `solve` / `solve_with` invocations.
@@ -59,6 +62,7 @@ impl std::ops::AddAssign<&Stats> for Stats {
         self.conflicts += rhs.conflicts;
         self.restarts += rhs.restarts;
         self.learnt_literals += rhs.learnt_literals;
+        self.minimised_literals += rhs.minimised_literals;
         self.deleted_clauses += rhs.deleted_clauses;
         self.solve_calls += rhs.solve_calls;
         self.reused_learnts += rhs.reused_learnts;
@@ -69,12 +73,13 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "decisions={} propagations={} conflicts={} restarts={} learnt_lits={} deleted={} solves={} reused_learnts={}",
+            "decisions={} propagations={} conflicts={} restarts={} learnt_lits={} minimised_lits={} deleted={} solves={} reused_learnts={}",
             self.decisions,
             self.propagations,
             self.conflicts,
             self.restarts,
             self.learnt_literals,
+            self.minimised_literals,
             self.deleted_clauses,
             self.solve_calls,
             self.reused_learnts
@@ -110,11 +115,13 @@ mod tests {
         let b = Stats {
             conflicts: 4,
             solve_calls: 2,
+            minimised_literals: 6,
             reused_learnts: 5,
             ..Stats::default()
         };
         a += &b;
         assert_eq!(a.conflicts, 7);
+        assert_eq!(a.minimised_literals, 6);
         assert_eq!(a.solve_calls, 3);
         assert_eq!(a.reused_learnts, 5);
     }

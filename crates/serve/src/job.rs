@@ -333,6 +333,7 @@ impl JobPayload {
             self.search.conflicts,
             self.search.restarts,
             self.search.learnt_literals,
+            self.search.minimised_literals,
             self.search.deleted_clauses,
             self.search.solve_calls,
             self.search.reused_learnts,

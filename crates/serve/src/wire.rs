@@ -3,7 +3,7 @@
 //!
 //! One JSON object per `\n`-terminated line, in both directions. Every
 //! connection starts with an explicit handshake: the client sends
-//! `{"type": "hello", "proto": 1, "cache_key": "etcs-cache-key-v3"}` and
+//! `{"type": "hello", "proto": 2, "cache_key": "etcs-cache-key-v3"}` and
 //! the server answers `hello_ok` (echoing its own versions and shard name)
 //! or `hello_err` — two processes may only exchange jobs and cache entries
 //! when **both** the protocol version and the cache-key version agree,
@@ -64,7 +64,7 @@ use crate::service::{Service, TerminalStats};
 
 /// The protocol version spoken by this build. Bump on any wire-visible
 /// change to message shapes or semantics.
-pub const PROTO_VERSION: u64 = 1;
+pub const PROTO_VERSION: u64 = 2;
 
 /// Upper bound on one frame (a payload with full train plans is large but
 /// bounded; an unterminated garbage stream must not grow memory forever).
@@ -507,12 +507,13 @@ pub fn payload_to_wire(p: &JobPayload) -> String {
     ));
     out.push_str(&format!(", \"solver_calls\": {}", p.solver_calls));
     out.push_str(&format!(
-        ", \"search\": [{},{},{},{},{},{},{},{}]",
+        ", \"search\": [{},{},{},{},{},{},{},{},{}]",
         p.search.decisions,
         p.search.propagations,
         p.search.conflicts,
         p.search.restarts,
         p.search.learnt_literals,
+        p.search.minimised_literals,
         p.search.deleted_clauses,
         p.search.solve_calls,
         p.search.reused_learnts
@@ -615,8 +616,8 @@ pub fn payload_from_wire(v: &Json) -> Result<JobPayload, WireError> {
         return Err(malformed("stats must have exactly 5 entries"));
     }
     let search = wire_u64_list(v.get("search"), "search")?;
-    if search.len() != 8 {
-        return Err(malformed("search must have exactly 8 entries"));
+    if search.len() != 9 {
+        return Err(malformed("search must have exactly 9 entries"));
     }
     Ok(JobPayload {
         kind,
@@ -638,9 +639,10 @@ pub fn payload_from_wire(v: &Json) -> Result<JobPayload, WireError> {
             conflicts: search[2],
             restarts: search[3],
             learnt_literals: search[4],
-            deleted_clauses: search[5],
-            solve_calls: search[6],
-            reused_learnts: search[7],
+            minimised_literals: search[5],
+            deleted_clauses: search[6],
+            solve_calls: search[7],
+            reused_learnts: search[8],
         },
     })
 }
